@@ -12,13 +12,16 @@ echo "== fmt =="
 cargo fmt --check
 
 echo "== clippy =="
-cargo clippy --offline --all-targets -- -D warnings
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== build =="
 cargo build --release --offline
 
 echo "== test =="
-cargo test -q --offline
+# The root package plus the schedule IR and its two interpreters (engine,
+# exec runtime) and the memory model, whose suites pin the shared
+# schedule semantics.
+cargo test -q --offline -p autopipe-repro -p ap-ir -p ap-pipesim -p ap-exec -p ap-mem
 
 echo "== chaos drill =="
 # Fault-injection smoke: exits 2 on a wedged (deadlocked) run and 3 if

@@ -12,10 +12,25 @@ use super::enumerate::MoveEnumerator;
 use super::score::Scorer;
 use super::stages::{Enumerate, Score, ScoreCtx};
 
+/// What a [`refine`] run produced.
+#[derive(Debug, Clone)]
+pub struct Refined {
+    /// The refined partition (the start when no move won).
+    pub partition: Partition,
+    /// Its score.
+    pub score: f64,
+    /// Rounds that scored candidates.
+    pub rounds: usize,
+    /// Candidate partitions scored across all rounds.
+    pub scored: usize,
+    /// Whether `stop` ended refinement before its natural end.
+    pub stopped: bool,
+}
+
 /// Greedy refinement: chain incremental moves from `start`, each round
 /// keeping the best-scoring candidate, until no candidate beats the
-/// incumbent (beyond float noise) or `max_rounds` is exhausted. Returns
-/// the refined partition and its score.
+/// incumbent (beyond float noise), `max_rounds` is exhausted, or `stop`
+/// (checked before each round, e.g. a deadline) says to quit.
 pub fn refine<E: Enumerate, S: Score>(
     enumerator: &E,
     scorer: &S,
@@ -23,23 +38,35 @@ pub fn refine<E: Enumerate, S: Score>(
     start: Partition,
     start_score: f64,
     max_rounds: usize,
-) -> (Partition, f64) {
-    let mut current = start;
-    let mut current_score = start_score;
+    mut stop: impl FnMut() -> bool,
+) -> Refined {
+    let mut out = Refined {
+        partition: start,
+        score: start_score,
+        rounds: 0,
+        scored: 0,
+        stopped: false,
+    };
     for _ in 0..max_rounds {
-        let candidates = enumerator.candidates(&current, ctx.profile, &[]);
+        if stop() {
+            out.stopped = true;
+            break;
+        }
+        let candidates = enumerator.candidates(&out.partition, ctx.profile, &[]);
         if candidates.is_empty() {
             break;
         }
+        out.rounds += 1;
+        out.scored += candidates.len();
         match scorer.best(ctx, candidates) {
-            Some((score, p)) if score > current_score * (1.0 + 1e-9) => {
-                current = p;
-                current_score = score;
+            Some((score, p)) if score > out.score * (1.0 + 1e-9) => {
+                out.partition = p;
+                out.score = score;
             }
             _ => break,
         }
     }
-    (current, current_score)
+    out
 }
 
 /// Greedy hill-climbing with two-worker moves under the analytic model:
@@ -75,6 +102,7 @@ pub fn hill_climb(
         current,
         start_score,
         max_rounds,
+        || false,
     )
-    .0
+    .partition
 }

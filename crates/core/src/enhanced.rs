@@ -57,8 +57,16 @@ pub fn enhanced_throughput(
     };
     let scorer = Scorer::Analytic;
     let start_tp = scorer.predict(&ctx, &start);
-    let (enhanced, _) = refine(&MoveEnumerator::new(), &scorer, &ctx, start, start_tp, 30);
-    let enhanced_tp = model.throughput(&enhanced, state);
+    let enhanced = refine(
+        &MoveEnumerator::new(),
+        &scorer,
+        &ctx,
+        start,
+        start_tp,
+        30,
+        || false,
+    );
+    let enhanced_tp = model.throughput(&enhanced.partition, state);
     (vanilla_tp, enhanced_tp)
 }
 

@@ -25,6 +25,9 @@ pub struct ChannelStats {
     pub frames: u64,
     /// Total encoded bytes sent.
     pub bytes: u64,
+    /// Bytes whose delivery the bandwidth throttle metered (0 on an
+    /// unthrottled channel): a deterministic sign the throttle engaged.
+    pub metered_bytes: u64,
 }
 
 struct Queue {
@@ -47,6 +50,7 @@ pub struct ByteChannel {
     bytes_per_sec: Option<f64>,
     frames: AtomicU64,
     bytes: AtomicU64,
+    metered_bytes: AtomicU64,
     pool: Mutex<Vec<Vec<u8>>>,
 }
 
@@ -71,6 +75,7 @@ impl ByteChannel {
             bytes_per_sec,
             frames: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
+            metered_bytes: AtomicU64::new(0),
             pool: Mutex::new(Vec::new()),
         }
     }
@@ -119,6 +124,7 @@ impl ByteChannel {
                 };
                 let ready = start + Duration::from_secs_f64(len as f64 / bw);
                 q.link_free = Some(ready);
+                self.metered_bytes.fetch_add(len as u64, Ordering::Relaxed);
                 ready
             }
         };
@@ -168,6 +174,7 @@ impl ByteChannel {
         ChannelStats {
             frames: self.frames.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
+            metered_bytes: self.metered_bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -189,7 +196,8 @@ mod tests {
             c.stats(),
             ChannelStats {
                 frames: 2,
-                bytes: 4
+                bytes: 4,
+                metered_bytes: 0,
             }
         );
     }
@@ -231,6 +239,7 @@ mod tests {
             got_at >= Duration::from_millis(95),
             "frame arrived after {got_at:?}, expected ~100ms"
         );
+        assert_eq!(c.stats().metered_bytes, 10_000);
     }
 
     #[test]
@@ -293,6 +302,7 @@ mod tests {
             ChannelStats {
                 frames: payloads.len() as u64,
                 bytes: payloads.iter().map(|p| p.len() as u64).sum(),
+                metered_bytes: 0,
             }
         );
     }

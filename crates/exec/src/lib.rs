@@ -33,7 +33,6 @@ pub mod channel;
 pub mod codec;
 pub mod profiler;
 pub mod runtime;
-pub mod schedule;
 
 pub use ap_ir::ScheduleKind;
 pub use calib::fit_calibration;
@@ -45,4 +44,3 @@ pub use profiler::{calibrate_layer_times, metrics_from_times, LayerTimes};
 pub use runtime::{
     run_pipeline, training_batch, ExecError, ExecResult, ExecSpec, MigrationReport, SwitchSpec,
 };
-pub use schedule::{stage_ops, Op};

@@ -11,9 +11,9 @@
 //! `Recv`/`Send` become frames on the byte channels, `StashPush` becomes
 //! a master clone, `Forward`/`Backward`/`FusedFwdLossBwd`/`Recompute`
 //! become real matrix math, `ApplyUpdate` becomes SGD on the master
-//! weights. The pipesim pricer walks the *same* program charging time
-//! (DESIGN.md §10), so simulation and execution cannot drift apart on
-//! what a schedule does.
+//! weights. The pipesim event engine runs the *same* program on a
+//! simulated cluster (DESIGN.md §10), so simulation and execution cannot
+//! drift apart on what a schedule does.
 //!
 //! ## Threading model
 //!
@@ -151,7 +151,7 @@ impl ExecSpec {
             return Err("in_flight must be at least 1".into());
         }
         let m = self.schedule.micro_batches();
-        if self.batch % m != 0 {
+        if !self.batch.is_multiple_of(m) {
             return Err(format!(
                 "batch {} must divide evenly into {m} micro-batches",
                 self.batch
@@ -1289,8 +1289,8 @@ pub fn run_pipeline(spec: &ExecSpec) -> Result<ExecResult, ExecError> {
     let starts = spec.starts();
     let full = Mlp::new(&spec.sizes, spec.act, spec.seed);
 
-    // The one program both engines agree on: replayed here, priced by
-    // pipesim's ProgramPricer.
+    // The one program both interpreters agree on: replayed here, run on
+    // a simulated cluster by pipesim's event engine.
     let program = match &plan {
         Some(p) => generate_spliced(
             spec.schedule,

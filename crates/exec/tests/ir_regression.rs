@@ -2,10 +2,47 @@
 //! and the runtime must train correctly under every schedule in the zoo.
 
 use ap_exec::runtime::{run_pipeline, ExecResult, ExecSpec};
-use ap_exec::schedule::{stage_ops, Op};
 use ap_exec::ScheduleKind;
 use ap_ir::{generate, IrOp};
 use ap_nn::ActKind;
+
+/// One entry of the legacy coarse schedule: forward mini-batch `mb` (at
+/// the last stage: forward + loss + backward, fused), or its backward.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    Forward(u64),
+    Backward(u64),
+}
+
+/// Frozen oracle: the hand-written 1F1B op sequence the runtime executed
+/// before the schedule IR existed. Warmup depth shrinks with stage index
+/// (`in_flight - stage`, floored at one), then strict B/F alternation,
+/// then drain backwards; the last stage emits only (fused) forwards.
+fn stage_ops(stage: usize, n_stages: usize, total: u64, in_flight: usize) -> Vec<Op> {
+    assert!(n_stages > 0 && stage < n_stages, "bad stage index");
+    assert!(in_flight >= 1, "need at least one in-flight mini-batch");
+    if stage == n_stages - 1 {
+        return (0..total).map(Op::Forward).collect();
+    }
+    let warmup = (in_flight.saturating_sub(stage)).max(1) as u64;
+    let w = warmup.min(total);
+    let mut ops = Vec::with_capacity(2 * total as usize);
+    for v in 0..w {
+        ops.push(Op::Forward(v));
+    }
+    let mut b = 0;
+    let mut f = w;
+    while f < total {
+        ops.push(Op::Backward(b));
+        ops.push(Op::Forward(f));
+        b += 1;
+        f += 1;
+    }
+    for v in b..total {
+        ops.push(Op::Backward(v));
+    }
+    ops
+}
 
 /// Bit pattern of a stage's weights, for exact comparisons.
 fn weight_bits(w: &ap_nn::mlp::MlpWeights) -> Vec<u64> {
@@ -28,22 +65,68 @@ fn fold(ops: &[IrOp]) -> Vec<Op> {
         .collect()
 }
 
+/// The PipeDream program of one stage, folded to the legacy alphabet.
+fn ir_ops(stage: usize, n_stages: usize, total: u64, in_flight: usize) -> Vec<Op> {
+    let program = generate(ScheduleKind::PipeDreamAsync, n_stages, total, in_flight);
+    fold(&program.stages[stage].ops)
+}
+
 #[test]
 fn pipedream_ir_reproduces_the_legacy_stage_ops_exactly() {
+    // A grid of shapes, plus the shapes the legacy schedule's own unit
+    // tests pinned (deep pipelines, a cap sweep, empty and one-batch runs).
+    let mut shapes: Vec<(usize, u64, usize)> = Vec::new();
     for n_stages in 1..=5usize {
         for in_flight in 1..=5usize {
             for total in [1u64, 2, 5, 9, 16] {
-                let program = generate(ScheduleKind::PipeDreamAsync, n_stages, total, in_flight);
-                for s in 0..n_stages {
-                    let legacy = stage_ops(s, n_stages, total, in_flight);
-                    let from_ir = fold(&program.stages[s].ops);
-                    assert_eq!(
-                        from_ir, legacy,
-                        "stage {s}/{n_stages}, total {total}, in_flight {in_flight}"
-                    );
-                }
+                shapes.push((n_stages, total, in_flight));
             }
         }
+    }
+    shapes.extend([
+        (4, 10, 4),
+        (3, 8, 3),
+        (2, 10, 4),
+        (2, 3, 1),
+        (2, 0, 4),
+        (2, 1, 4),
+    ]);
+    shapes.extend((1..=5).map(|cap| (3, 12, cap)));
+    for (n_stages, total, in_flight) in shapes {
+        for s in 0..n_stages {
+            let legacy = stage_ops(s, n_stages, total, in_flight);
+            assert_eq!(
+                ir_ops(s, n_stages, total, in_flight),
+                legacy,
+                "stage {s}/{n_stages}, total {total}, in_flight {in_flight}"
+            );
+        }
+    }
+}
+
+#[test]
+fn pipedream_ir_keeps_the_legacy_shapes() {
+    // The exact sequences the legacy schedule's own unit tests pinned:
+    // warmup fills to the cap then alternates, a cap of one is
+    // sequential, tiny totals do not panic, and stage 0 never holds more
+    // than the cap before draining fully.
+    use Op::{Backward as B, Forward as F};
+    assert_eq!(
+        &ir_ops(0, 2, 10, 4)[..6],
+        &[F(0), F(1), F(2), F(3), B(0), F(4)]
+    );
+    assert_eq!(ir_ops(0, 2, 3, 1), vec![F(0), B(0), F(1), B(1), F(2), B(2)]);
+    assert_eq!(ir_ops(0, 2, 0, 4), vec![]);
+    assert_eq!(ir_ops(0, 2, 1, 4), vec![F(0), B(0)]);
+    for cap in 1..=5usize {
+        let mut live = 0i64;
+        let mut peak = 0i64;
+        for op in ir_ops(0, 3, 12, cap) {
+            live += if matches!(op, F(_)) { 1 } else { -1 };
+            peak = peak.max(live);
+        }
+        assert!(peak <= cap as i64, "cap {cap}: peak {peak}");
+        assert_eq!(live, 0, "pipeline must fully drain");
     }
 }
 

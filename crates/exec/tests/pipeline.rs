@@ -86,7 +86,27 @@ fn numerics_are_independent_of_bandwidth_throttle() {
     assert_eq!(fast.losses, slow.losses, "losses must be bit-identical");
     let (fw, sw) = (stitched_weights(&fast), stitched_weights(&slow));
     assert_eq!(fw, sw, "final weights must be bit-identical");
-    assert!(slow.wall_seconds > fast.wall_seconds, "throttle must bite");
+    // The throttle engaged on every link of the slow run and on none of
+    // the fast one (a deterministic signal — wall-clock times race).
+    let metered = |r: &ExecResult| -> Vec<u64> {
+        r.fwd_channels
+            .iter()
+            .chain(&r.bwd_channels)
+            .map(|c| c.metered_bytes)
+            .collect()
+    };
+    assert!(
+        metered(&fast).iter().all(|&b| b == 0),
+        "unthrottled run metered"
+    );
+    for (c, b) in slow
+        .fwd_channels
+        .iter()
+        .chain(&slow.bwd_channels)
+        .zip(metered(&slow))
+    {
+        assert!(b > 0 && b == c.bytes, "throttle must meter every byte");
+    }
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! The declarative per-stage op-program.
 //!
 //! A [`Program`] is the single source of truth for *what happens, in what
-//! order, at every stage* under a [`ScheduleKind`]. Both engines consume
-//! it: the pipesim pricer walks the ops charging time, and the ap-exec
-//! runtime replays them against real tensors. Because each stage's op
+//! order, at every stage* under a [`ScheduleKind`]. Two interpreters
+//! consume it: the pipesim event engine runs the ops on a simulated
+//! cluster, and the ap-exec runtime replays them against real tensors. Because each stage's op
 //! order is static and channels are FIFO, any interpreter that executes
 //! ops in program order is deterministic regardless of thread timing.
 //!
@@ -164,26 +164,39 @@ pub struct Program {
     pub stages: Vec<StageProgram>,
 }
 
-/// Coarse 1F1B schedule entries (the pre-IR `stage_ops` vocabulary).
+/// Coarse 1F1B schedule entries (the pre-IR runtime's vocabulary).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Coarse {
     F(u64),
     B(u64),
 }
 
-/// The classic async 1F1B coarse order: warmup forwards
-/// (`in_flight - stage`, floored at one), strict B/F alternation, drain
-/// backwards; the last stage is all (fused) forwards. Identical to
-/// `ap_exec::schedule::stage_ops` — a regression test in ap-exec pins
-/// this equality.
-fn coarse_1f1b(stage: usize, n_stages: usize, total: u64, in_flight: usize) -> Vec<Coarse> {
+/// Warmup forwards of `stage` under async 1F1B: `in_flight - stage`,
+/// floored at one. Below a replicated stage the in-flight slack beyond one
+/// unit per worker stays with that stage's replicas, so a downstream stage
+/// warms up with one forward per worker at or after it — never more than
+/// `in_flight - stage`, which admission always lets in.
+fn warmup(stage: usize, replicas: &[usize], in_flight: usize) -> usize {
+    let mut w = in_flight.saturating_sub(stage);
+    if replicas[..stage].iter().any(|&r| r > 1) {
+        w = w.min(replicas[stage..].iter().sum());
+    }
+    w.max(1)
+}
+
+/// The classic async 1F1B coarse order: [`warmup`] forwards, strict B/F
+/// alternation, drain backwards; the last stage is all (fused) forwards.
+/// Without replicas it is identical to the pre-IR runtime's hand-written
+/// schedule, which ap-exec keeps as a frozen oracle in
+/// `tests/ir_regression.rs` to pin this equality.
+fn coarse_1f1b(stage: usize, replicas: &[usize], total: u64, in_flight: usize) -> Vec<Coarse> {
+    let n_stages = replicas.len();
     assert!(n_stages > 0 && stage < n_stages, "bad stage index");
     assert!(in_flight >= 1, "need at least one in-flight mini-batch");
     if stage == n_stages - 1 {
         return (0..total).map(Coarse::F).collect();
     }
-    let warmup = (in_flight.saturating_sub(stage)).max(1) as u64;
-    let w = warmup.min(total);
+    let w = (warmup(stage, replicas, in_flight) as u64).min(total);
     let mut ops = Vec::with_capacity(2 * total as usize);
     for v in 0..w {
         ops.push(Coarse::F(v));
@@ -230,13 +243,13 @@ fn direct_set(coarse: &[Coarse]) -> BTreeSet<u64> {
 fn expand_async(
     kind: ScheduleKind,
     stage: usize,
-    n_stages: usize,
+    replicas: &[usize],
     total: u64,
     in_flight: usize,
     force_stash: bool,
 ) -> Vec<IrOp> {
-    let last = stage + 1 == n_stages;
-    let coarse = coarse_1f1b(stage, n_stages, total, in_flight);
+    let last = stage + 1 == replicas.len();
+    let coarse = coarse_1f1b(stage, replicas, total, in_flight);
     // Which mini-batches skip the stash. PipeDream uses the static
     // no-interleaved-update criterion; 2BW defers updates to generation
     // boundaries that *do* interleave, so it stashes everywhere except the
@@ -342,8 +355,8 @@ fn expand_async(
 ///
 /// Chimera emits the same program as DAPPLE: its bidirectional trick
 /// needs a second model replica per stage, which a single linear pipeline
-/// host cannot run — the halved bubble stays an analytic-model property
-/// (as in the pre-IR event engine), priced against the same op-program.
+/// host cannot run — the halved bubble stays an analytic-model property;
+/// the event engine runs Chimera as this DAPPLE program.
 fn expand_sync(kind: ScheduleKind, stage: usize, n_stages: usize, total: u64) -> Vec<IrOp> {
     let m = kind.micro_batches();
     let last = stage + 1 == n_stages;
@@ -449,21 +462,43 @@ fn expand_sync(kind: ScheduleKind, stage: usize, n_stages: usize, total: u64) ->
 /// `total` mini-batches (`in_flight` bounds async admission depth; sync
 /// kinds ignore it).
 pub fn generate(kind: ScheduleKind, n_stages: usize, total: u64, in_flight: usize) -> Program {
-    generate_inner(kind, n_stages, total, in_flight, false)
+    generate_inner(kind, &vec![1; n_stages], total, in_flight, false)
+}
+
+/// Generate the program for a pipeline whose stage `s` has `replicas[s]`
+/// data-parallel replicas; with one replica per stage this is
+/// [`generate`]. Replicas change only the async warmup depth below a
+/// replicated stage.
+///
+/// A replicated stage's program is shared by its replicas, each running
+/// the ops of the units it owns. A stage that has one replica and whose
+/// neighbours have one each receives its frames in program order (one
+/// FIFO link per direction) and runs its program strictly in order.
+/// Anywhere else frames come from several senders in no fixed order, so
+/// a worker keeps each unit's ops in program order but may pass a unit
+/// still waiting on its inputs for a later one that is ready.
+pub fn generate_replicated(
+    kind: ScheduleKind,
+    replicas: &[usize],
+    total: u64,
+    in_flight: usize,
+) -> Program {
+    generate_inner(kind, replicas, total, in_flight, false)
 }
 
 fn generate_inner(
     kind: ScheduleKind,
-    n_stages: usize,
+    replicas: &[usize],
     total: u64,
     in_flight: usize,
     force_stash: bool,
 ) -> Program {
+    let n_stages = replicas.len();
     let stages = (0..n_stages)
         .map(|s| StageProgram {
             stage: s,
             ops: if kind.is_async() {
-                expand_async(kind, s, n_stages, total, in_flight, force_stash)
+                expand_async(kind, s, replicas, total, in_flight, force_stash)
             } else {
                 expand_sync(kind, s, n_stages, total)
             },
@@ -502,7 +537,7 @@ pub fn generate_spliced(
     if splice.sender >= n_stages || splice.receiver >= n_stages {
         return Err("splice stage out of range".into());
     }
-    let mut program = generate_inner(kind, n_stages, total, in_flight, true);
+    let mut program = generate_inner(kind, &vec![1; n_stages], total, in_flight, true);
     let unit = UnitId::new(splice.at_mb, 0);
     let mut insert = |stage: usize, op: IrOp| -> Result<(), String> {
         let ops = &mut program.stages[stage].ops;
@@ -695,8 +730,46 @@ mod tests {
                 let p = generate(kind, s, total, inf);
                 p.validate()
                     .unwrap_or_else(|e| panic!("{} S={s} total={total}: {e}", kind.label()));
+                assert_eq!(generate_replicated(kind, &vec![1; s], total, inf), p);
+            }
+            for replicas in [&[2, 1, 1][..], &[6, 2, 1, 1], &[1, 3, 1], &[10]] {
+                for inf in [1, 2, 4, 14] {
+                    let p = generate_replicated(kind, replicas, 20, inf);
+                    p.validate()
+                        .unwrap_or_else(|e| panic!("{} {replicas:?}@{inf}: {e}", kind.label()));
+                    // Before its first backward a stage never forwards more
+                    // than admission lets in; sync kinds ignore replicas.
+                    for (st, sp) in p.stages.iter().enumerate() {
+                        let first_b = sp
+                            .ops
+                            .iter()
+                            .position(|o| matches!(o, IrOp::Backward { .. }));
+                        let fwds = sp.ops[..first_b.unwrap_or(0)]
+                            .iter()
+                            .filter(|o| matches!(o, IrOp::Forward { .. }))
+                            .count();
+                        assert!(!kind.is_async() || fwds <= inf.saturating_sub(st).max(1));
+                    }
+                    if !kind.is_async() {
+                        assert_eq!(p, generate(kind, replicas.len(), 20, inf));
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn replicas_upstream_shrink_the_warmup_to_the_workers_downstream() {
+        // [x6|x2|x1|x1] at depth 14: stage 0 keeps the IR warmup, the rest
+        // warm up with one forward per worker at or after them.
+        let replicas = [6, 2, 1, 1];
+        let warmups: Vec<usize> = (0..3).map(|s| warmup(s, &replicas, 14)).collect();
+        assert_eq!(warmups, vec![14, 4, 2]);
+        // Never more than admission allows.
+        assert_eq!(warmup(1, &[2, 1, 1], 1), 1);
+        assert_eq!(warmup(1, &[2, 1, 1], 2), 1);
+        // Without replicas upstream it is `in_flight - stage`.
+        assert_eq!(warmup(1, &[1, 3, 1], 6), 5);
     }
 
     #[test]
@@ -920,13 +993,13 @@ mod tests {
     #[test]
     fn direct_set_matches_window_criterion() {
         // in_flight=1 is fully direct; the fused last stage always is.
-        let c = coarse_1f1b(0, 2, 3, 1);
+        let c = coarse_1f1b(0, &[1, 1], 3, 1);
         assert_eq!(direct_set(&c).len(), 3);
-        let c = coarse_1f1b(2, 3, 8, 3);
+        let c = coarse_1f1b(2, &[1, 1, 1], 8, 3);
         assert_eq!(direct_set(&c).len(), 8);
         // A deep stage interleaves almost every window with other
         // backwards; only mb 0 drains its window (F1, F2) update-free.
-        let c = coarse_1f1b(0, 3, 8, 3);
+        let c = coarse_1f1b(0, &[1, 1, 1], 8, 3);
         assert_eq!(direct_set(&c), BTreeSet::from([0]));
     }
 }

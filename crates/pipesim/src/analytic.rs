@@ -6,8 +6,9 @@
 //! *actual* cluster state — heterogeneous per-worker bandwidth and compute,
 //! PS or Ring sync, framework constants, per-schedule bubbles — in O(L + N).
 //!
-//! The event engine cross-validates it: on uniform pipelines the two agree
-//! within a few percent (see `tests/engine_vs_analytic.rs`).
+//! It is a scorer, not a definition of what a schedule does: the event
+//! engine runs the schedule's `ap-ir` program, and the two stay inside the
+//! envelope DESIGN.md §10 declares (`tests/engine_vs_analytic.rs`).
 
 use ap_cluster::ClusterState;
 use ap_models::ModelProfile;

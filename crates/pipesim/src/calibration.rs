@@ -66,43 +66,20 @@ impl Calibration {
         self.per_frame_s + bytes * self.per_byte_s
     }
 
-    /// Extra stage-occupancy seconds one *forward* pass pays at a stage:
-    /// decode the inbound activation (if any), encode the outbound one
-    /// (if any), snapshot the stash, plus half the fixed stage overhead
-    /// (the other half is charged on the backward).
-    pub fn forward_extra_s(
-        &self,
-        in_bytes: Option<f64>,
-        out_bytes: Option<f64>,
-        stash_bytes: f64,
-    ) -> f64 {
-        self.stage_overhead_s / 2.0
-            + in_bytes.map_or(0.0, |b| self.codec_op_s(b))
-            + out_bytes.map_or(0.0, |b| self.codec_op_s(b))
-            + stash_bytes * self.stash_byte_s
-    }
-
-    /// Extra stage-occupancy seconds one *backward* pass pays: decode
-    /// the inbound gradient, encode the outbound one, half the fixed
-    /// overhead. Gradient frames across a boundary carry the same tensor
-    /// shape as the activations, so the byte counts mirror the forward.
-    pub fn backward_extra_s(&self, in_bytes: Option<f64>, out_bytes: Option<f64>) -> f64 {
-        self.stage_overhead_s / 2.0
-            + in_bytes.map_or(0.0, |b| self.codec_op_s(b))
-            + out_bytes.map_or(0.0, |b| self.codec_op_s(b))
-    }
-
-    /// Total extra stage-occupancy seconds per mini-batch (forward +
-    /// backward) — what the closed-form analytic model folds into
-    /// `stage_time`.
+    /// Total extra stage-occupancy seconds per mini-batch — what the
+    /// closed-form analytic model folds into `stage_time`. Each direction
+    /// decodes its inbound frame and encodes its outbound one (gradient
+    /// frames mirror the activations' shape) and pays half the fixed stage
+    /// overhead; the forward also snapshots the stash.
     pub fn stage_extra_s(
         &self,
         in_bytes: Option<f64>,
         out_bytes: Option<f64>,
         stash_bytes: f64,
     ) -> f64 {
-        self.forward_extra_s(in_bytes, out_bytes, stash_bytes)
-            + self.backward_extra_s(in_bytes, out_bytes)
+        let codec = |b: Option<f64>| b.map_or(0.0, |b| self.codec_op_s(b));
+        let backward = self.stage_overhead_s / 2.0 + codec(in_bytes) + codec(out_bytes);
+        backward + stash_bytes * self.stash_byte_s + backward
     }
 
     /// Parse from the JSON object written by [`ToJson`].
@@ -170,14 +147,15 @@ mod tests {
     fn zero_calibration_adds_nothing() {
         let z = Calibration::zero();
         assert_eq!(z.stage_extra_s(Some(1e6), Some(1e6), 1e7), 0.0);
-        assert_eq!(z.forward_extra_s(None, None, 0.0), 0.0);
+        assert_eq!(z.stage_extra_s(None, None, 0.0), 0.0);
     }
 
     #[test]
     fn stage_extra_is_forward_plus_backward() {
         let c = sample();
-        let f = c.forward_extra_s(Some(4096.0), Some(8192.0), 1e5);
-        let b = c.backward_extra_s(Some(4096.0), Some(8192.0));
+        let codec = c.codec_op_s(4096.0) + c.codec_op_s(8192.0);
+        let f = c.stage_overhead_s / 2.0 + codec + 1e5 * c.stash_byte_s;
+        let b = c.stage_overhead_s / 2.0 + codec;
         let tot = c.stage_extra_s(Some(4096.0), Some(8192.0), 1e5);
         assert!((tot - (f + b)).abs() < 1e-15);
     }

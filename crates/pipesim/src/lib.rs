@@ -16,11 +16,10 @@
 //!   PyTorch panels of Figure 8);
 //! * [`analytic`] — a fast closed-form steady-state throughput model used
 //!   inside planners;
-//! * [`program`] — a deterministic pricer for declarative [`ap_ir`]
-//!   op-programs, covering the whole schedule zoo with one cost walk;
-//! * [`engine`] — a discrete-event simulation with fluid fair-share
-//!   networking, 1F1B scheduling, weight versions/staleness, per-iteration
-//!   speed traces and worker timelines (Figure 2);
+//! * [`engine`] — a discrete-event interpreter of [`ap_ir`] op-programs
+//!   (the same programs ap-exec replays) with fluid fair-share
+//!   networking, weight versions/staleness, per-iteration speed traces
+//!   and worker timelines (Figure 2);
 //! * [`switching`] — what a re-partition costs: stop-and-restart vs
 //!   AutoPipe's layer-by-layer fine-grained switching (§4.4);
 //! * [`convergence`] — a staleness-aware statistical model of top-1
@@ -32,9 +31,7 @@ pub mod convergence;
 pub mod engine;
 pub mod framework;
 pub mod json;
-pub mod memory;
 pub mod partition;
-pub mod program;
 pub mod schedule;
 pub mod switching;
 pub mod sync;
@@ -48,9 +45,7 @@ pub use engine::{
     WorkKind,
 };
 pub use framework::Framework;
-pub use memory::{cap_in_flight, estimate as estimate_memory, max_in_flight, MemoryEstimate};
 pub use partition::{Partition, PartitionError, Stage};
-pub use program::{ProgramEval, ProgramPricer};
 pub use schedule::ScheduleKind;
 pub use switching::{
     abort_recovery_cost, abort_rollback_cost, fine_grained_cost, stop_restart_cost, MigrationStep,

@@ -31,7 +31,8 @@ use ap_pipesim::{
 use ap_planner::{pipedream_plan, sort_stage_workers_by, PipeDreamView};
 use ap_resilience::Deadline;
 use autopipe::controller::enumerate::MoveEnumerator;
-use autopipe::controller::stages::{Enumerate, Score, ScoreCtx};
+use autopipe::controller::refine;
+use autopipe::controller::stages::{Score, ScoreCtx};
 use autopipe::controller::DecisionJournal;
 use autopipe::{DecisionEvent, Scorer};
 
@@ -679,11 +680,11 @@ fn memory_infeasible_error(
     ]))
 }
 
-/// PipeDream seed + analytic greedy refinement, journaled round by round
-/// (the serve-side equivalent of `hill_climb`, kept explicit so candidate
-/// counts land in the journal). When a `deadline` is supplied the loop
-/// checks remaining budget between rounds and stops early rather than
-/// overrun — the partial answer is still valid, just less refined.
+/// PipeDream seed + analytic greedy refinement ([`refine`], the loop
+/// `hill_climb` runs), with its rounds and candidate counts kept for the
+/// journal. When a `deadline` is supplied refinement checks remaining
+/// budget between rounds and stops early rather than overrun — the
+/// partial answer is still valid, just less refined.
 ///
 /// After refinement the candidate is fitted to device memory: its
 /// in-flight depth is clamped to what the tightest stage holds, and if
@@ -722,33 +723,19 @@ pub fn refine_plan(
         state: &state,
     };
     let scorer = Scorer::Analytic;
-    let enumerator = MoveEnumerator::new();
-    let mut current = start.clone();
-    sort_stage_workers_by(&mut current, |g| state.effective_flops(g));
-    let start_pred = scorer.predict(&ctx, &current);
-    let mut current_pred = start_pred;
-    let mut rounds = 0usize;
-    let mut scored = 0usize;
-    let mut deadline_cut = false;
-    for _ in 0..req.planner.refine_rounds {
-        if deadline.is_some_and(Deadline::expired) {
-            deadline_cut = true;
-            break;
-        }
-        let candidates = enumerator.candidates(&current, &profile, &[]);
-        if candidates.is_empty() {
-            break;
-        }
-        rounds += 1;
-        scored += candidates.len();
-        match scorer.best(&ctx, candidates) {
-            Some((score, p)) if score > current_pred * (1.0 + 1e-9) => {
-                current = p;
-                current_pred = score;
-            }
-            _ => break,
-        }
-    }
+    let mut seed = start.clone();
+    sort_stage_workers_by(&mut seed, |g| state.effective_flops(g));
+    let mut start_pred = scorer.predict(&ctx, &seed);
+    let refined = refine(
+        &MoveEnumerator::new(),
+        &scorer,
+        &ctx,
+        seed,
+        start_pred,
+        req.planner.refine_rounds,
+        || deadline.is_some_and(Deadline::expired),
+    );
+    let mut current = refined.partition;
     // Memory fit: clamp the candidate's depth to what its devices hold,
     // switching schedule when the requested one cannot fit at any depth.
     let mem_model = MemoryModel::default();
@@ -777,8 +764,7 @@ pub fn refine_plan(
         &fit_score,
     )
     .ok_or_else(|| memory_infeasible_error(&profile, &current, req.schedule, &mem_model, &state))?;
-    let mut start_pred = start_pred;
-    let mut current_pred = current_pred;
+    let mut current_pred = refined.score;
     if fit.switched || fit.in_flight != current.in_flight {
         current.in_flight = fit.in_flight;
         current_pred = analytic_of(&current, fit.kind);
@@ -799,9 +785,9 @@ pub fn refine_plan(
         refined: current,
         start_pred,
         predicted: current_pred,
-        rounds,
-        scored,
-        deadline_cut,
+        rounds: refined.rounds,
+        scored: refined.scored,
+        deadline_cut: refined.stopped,
         schedule: fit.kind,
         schedule_switched: fit.switched,
         mem: fit.check,
