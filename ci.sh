@@ -20,8 +20,10 @@ cargo build --release --offline
 echo "== test =="
 # The root package plus the schedule IR and its two interpreters (engine,
 # exec runtime) and the memory model, whose suites pin the shared
-# schedule semantics.
-cargo test -q --offline -p autopipe-repro -p ap-ir -p ap-pipesim -p ap-exec -p ap-mem
+# schedule semantics; the cluster substrate (the engine's max-min link
+# sharing) and the control plane (whose admission prices memory through
+# ap-mem).
+cargo test -q --offline -p autopipe-repro -p ap-ir -p ap-pipesim -p ap-exec -p ap-mem -p ap-cluster -p ap-sched
 
 echo "== chaos drill =="
 # Fault-injection smoke: exits 2 on a wedged (deadlocked) run and 3 if

@@ -24,6 +24,17 @@ pub enum LinkId {
     Down(ServerId),
 }
 
+impl LinkId {
+    /// Dense index of the link: a server's uplink and downlink sit next
+    /// to each other, so per-link state fits a flat array.
+    pub fn index(self) -> usize {
+        match self {
+            LinkId::Up(ServerId(s)) => 2 * s,
+            LinkId::Down(ServerId(s)) => 2 * s + 1,
+        }
+    }
+}
+
 /// One physical server.
 #[derive(Debug, Clone)]
 pub struct Server {

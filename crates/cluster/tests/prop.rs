@@ -3,8 +3,10 @@
 //! in-tree seeded PRNG so every run checks the same cases.
 
 use ap_cluster::gpu::GpuKind;
+use std::collections::HashMap;
+
 use ap_cluster::{
-    gbps, max_min_fair_rates, ClusterState, ClusterTopology, EventKind, Flow, GpuId, LinkId,
+    gbps, ClusterState, ClusterTopology, EventKind, FairShare, Flow, GpuId, LinkId,
     ResourceTimeline, ServerId,
 };
 use ap_rng::Rng;
@@ -34,7 +36,9 @@ fn fair_share_is_feasible() {
         let n_flows = rng.gen_range(1..12usize);
         let flows: Vec<Flow> = (0..n_flows).map(|_| random_flow(&mut rng, 4)).collect();
         let cap_gbps = rng.gen_range(1.0..100.0);
-        let rates = max_min_fair_rates(&flows, |_| gbps(cap_gbps), gbps(96.0));
+        let rates = FairShare::default()
+            .rates(&flows, |_| gbps(cap_gbps), gbps(96.0))
+            .to_vec();
         assert_eq!(rates.len(), flows.len());
         // Per-flow demand respected.
         for (f, &r) in flows.iter().zip(&rates) {
@@ -76,10 +80,123 @@ fn fair_share_never_starves() {
                 ])
             })
             .collect();
-        let rates = max_min_fair_rates(&flows, |_| gbps(cap_gbps), gbps(96.0));
+        let rates = FairShare::default()
+            .rates(&flows, |_| gbps(cap_gbps), gbps(96.0))
+            .to_vec();
         for r in rates {
             assert!(r > 0.0, "case {case}: starved flow");
         }
+    }
+}
+
+/// The straightforward water-filling the library's dense kernel replaced:
+/// residual capacity in a `HashMap`, every link's crossers recounted over
+/// every active flow on each fill round. Kept as the oracle the kernel
+/// must match bit for bit.
+fn oracle_max_min(flows: &[Flow], capacity: impl Fn(LinkId) -> f64, local_rate: f64) -> Vec<f64> {
+    let n = flows.len();
+    let mut rates = vec![0.0_f64; n];
+    let mut residual: HashMap<LinkId, f64> = HashMap::new();
+    for f in flows {
+        for &l in &f.links {
+            residual.entry(l).or_insert_with(|| capacity(l));
+        }
+    }
+    let mut frozen = vec![false; n];
+    for (i, f) in flows.iter().enumerate() {
+        if f.links.is_empty() {
+            rates[i] = f.demand.min(local_rate);
+            frozen[i] = true;
+        }
+    }
+    loop {
+        let active: Vec<usize> = (0..n).filter(|&i| !frozen[i]).collect();
+        if active.is_empty() {
+            break;
+        }
+        let mut min_incr = f64::INFINITY;
+        for (&l, &cap) in &residual {
+            let crossers = active
+                .iter()
+                .filter(|&&i| flows[i].links.contains(&l))
+                .count();
+            if crossers > 0 && cap.is_finite() {
+                min_incr = min_incr.min(cap / crossers as f64);
+            }
+        }
+        for &i in &active {
+            min_incr = min_incr.min(flows[i].demand - rates[i]);
+        }
+        if !min_incr.is_finite() {
+            for &i in &active {
+                rates[i] = f64::INFINITY;
+            }
+            break;
+        }
+        let incr = min_incr.max(0.0);
+        for &i in &active {
+            rates[i] += incr;
+            for &l in &flows[i].links {
+                if let Some(c) = residual.get_mut(&l) {
+                    *c -= incr;
+                }
+            }
+        }
+        for &i in &active {
+            let at_demand = rates[i] >= flows[i].demand - 1e-9;
+            let on_saturated = flows[i]
+                .links
+                .iter()
+                .any(|l| residual.get(l).is_some_and(|&c| c <= 1e-6));
+            if at_demand || on_saturated {
+                frozen[i] = true;
+            }
+        }
+    }
+    rates
+}
+
+/// The dense kernel returns exactly the oracle's rates (same bits) on
+/// seeded flow sets: shared links, node-local flows, demand caps,
+/// repeated links within a path, per-link capacities down to near zero
+/// and unbounded links — with one [`FairShare`] reused across every case,
+/// as the simulator reuses it across events.
+#[test]
+fn dense_fair_share_matches_the_hashmap_oracle_bit_for_bit() {
+    let mut fair = FairShare::default();
+    for case in 0..2000u64 {
+        let mut rng = Rng::seed_from_u64(0x0AC1E + case);
+        let n_servers = rng.gen_range(1..9usize);
+        let n_flows = rng.gen_range(0..24usize);
+        let flows: Vec<Flow> = (0..n_flows)
+            .map(|_| {
+                let mut flow = random_flow(&mut rng, n_servers);
+                if !flow.links.is_empty() && rng.f64() < 0.1 {
+                    // A ring pass over several hops, one hop repeated.
+                    let hop = rng.gen_range(0..n_servers);
+                    flow.links.push(LinkId::Up(ServerId(hop)));
+                    flow.links.push(LinkId::Up(ServerId(hop)));
+                }
+                if rng.f64() < 0.1 {
+                    flow.demand = rng.f64() * 1e-3;
+                }
+                flow
+            })
+            .collect();
+        let caps: Vec<f64> = (0..2 * n_servers)
+            .map(|_| match rng.gen_range(0..8u32) {
+                0 => rng.f64() * 1e-6,
+                1 => f64::INFINITY,
+                2 => gbps(0.001),
+                _ => gbps(rng.gen_range(1.0..100.0)),
+            })
+            .collect();
+        let capacity = |l: LinkId| caps[l.index()];
+        let local = gbps(rng.gen_range(10.0..200.0));
+        let want = oracle_max_min(&flows, capacity, local);
+        let got = fair.rates(&flows, capacity, local);
+        let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(&want), "case {case}: {flows:?}");
     }
 }
 

@@ -15,7 +15,8 @@
 //! FusedFwdLossBwd / Recompute / Backward / StashPop / ApplyUpdate`) over
 //! explicit mini-batch/micro-batch [`UnitId`]s with weight-version tags.
 //! [`generate`] builds the program for any [`ScheduleKind`]
-//! ([`generate_replicated`] for stages with data-parallel replicas);
+//! ([`generate_replicated`] for stages with data-parallel replicas,
+//! [`generate_stage`] for one stage alone);
 //! [`generate_spliced`] rewrites it for a §4.4 live migration
 //! (migration-as-splice). [`Program::validate`] checks well-formedness:
 //! matched sends/recvs, balanced stashes within the schedule's
@@ -25,7 +26,7 @@ pub mod program;
 pub mod schedule;
 
 pub use program::{
-    generate, generate_replicated, generate_spliced, IrOp, Payload, Program, SpliceSpec,
-    StageProgram, UnitId,
+    generate, generate_replicated, generate_spliced, generate_stage, IrOp, Payload, Program,
+    SpliceSpec, StageProgram, UnitId,
 };
 pub use schedule::{ScheduleKind, DEFAULT_MICRO_BATCHES};

@@ -486,6 +486,37 @@ pub fn generate_replicated(
     generate_inner(kind, replicas, total, in_flight, false)
 }
 
+/// Stage `stage` of [`generate`]'s program, built alone: a caller that
+/// needs only some stages (memory pricing stops at the first stage over
+/// budget) skips the rest.
+pub fn generate_stage(
+    kind: ScheduleKind,
+    n_stages: usize,
+    stage: usize,
+    total: u64,
+    in_flight: usize,
+) -> StageProgram {
+    expand_stage(kind, stage, &vec![1; n_stages], total, in_flight, false)
+}
+
+fn expand_stage(
+    kind: ScheduleKind,
+    stage: usize,
+    replicas: &[usize],
+    total: u64,
+    in_flight: usize,
+    force_stash: bool,
+) -> StageProgram {
+    StageProgram {
+        stage,
+        ops: if kind.is_async() {
+            expand_async(kind, stage, replicas, total, in_flight, force_stash)
+        } else {
+            expand_sync(kind, stage, replicas.len(), total)
+        },
+    }
+}
+
 fn generate_inner(
     kind: ScheduleKind,
     replicas: &[usize],
@@ -495,14 +526,7 @@ fn generate_inner(
 ) -> Program {
     let n_stages = replicas.len();
     let stages = (0..n_stages)
-        .map(|s| StageProgram {
-            stage: s,
-            ops: if kind.is_async() {
-                expand_async(kind, s, replicas, total, in_flight, force_stash)
-            } else {
-                expand_sync(kind, s, n_stages, total)
-            },
-        })
+        .map(|s| expand_stage(kind, s, replicas, total, in_flight, force_stash))
         .collect();
     Program {
         kind,
@@ -731,6 +755,9 @@ mod tests {
                 p.validate()
                     .unwrap_or_else(|e| panic!("{} S={s} total={total}: {e}", kind.label()));
                 assert_eq!(generate_replicated(kind, &vec![1; s], total, inf), p);
+                for (stage, sp) in p.stages.iter().enumerate() {
+                    assert_eq!(&generate_stage(kind, s, stage, total, inf), sp);
+                }
             }
             for replicas in [&[2, 1, 1][..], &[6, 2, 1, 1], &[1, 3, 1], &[10]] {
                 for inf in [1, 2, 4, 14] {

@@ -17,9 +17,7 @@
 //! sequence — a closed function of (model, partition, schedule,
 //! in_flight), because the op sequence itself is.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use ap_ir::{generate, IrOp, Program};
+use ap_ir::{generate_stage, IrOp, StageProgram, UnitId};
 use ap_models::ModelProfile;
 use ap_pipesim::{Partition, ScheduleKind};
 
@@ -109,30 +107,50 @@ impl StageFootprint {
     }
 }
 
-/// Walk one stage of `program`, pricing weights at `weight_bytes` per
-/// copy, a full in-flight unit at `act_full` and an input-only
+/// Walk one stage's program, pricing weights at `weight_bytes` per copy,
+/// a full in-flight unit at `act_full` and an input-only
 /// (recompute-pending) unit at `act_input`.
 pub fn walk_stage(
-    program: &Program,
-    stage: usize,
+    program: &StageProgram,
     weight_bytes: f64,
     act_full: f64,
     act_input: f64,
     model: &MemoryModel,
 ) -> StageFootprint {
-    let ops = &program.stages[stage].ops;
+    let (stage, ops) = (program.stage, &program.ops);
+    // Per-unit and per-version state lives in flat arrays: a unit indexes
+    // as `mb * slots + micro`, and ap-ir numbers weight versions, like
+    // mini-batches, from 0. One pass over the ops sizes them.
+    let (mut units_len, mut slots, mut versions_len) = (0usize, 1usize, 0usize);
+    for op in ops {
+        if let IrOp::StashPush { weight_version, .. } = *op {
+            versions_len = versions_len.max(weight_version as usize + 1);
+        }
+        if let Some(u) = op_unit(*op) {
+            units_len = units_len.max(u.mb as usize + 1);
+            slots = slots.max(u.micro as usize + 1);
+        }
+    }
+    let index = |u: UnitId| u.mb as usize * slots + u.micro as usize;
     // Units whose backward re-runs the forward: their activations are
     // discarded between forward and recompute.
-    let recomputed: BTreeSet<_> = ops
-        .iter()
-        .filter_map(|op| match op {
-            IrOp::Recompute { unit } => Some(*unit),
-            _ => None,
-        })
-        .collect();
-    let mut live_versions: BTreeMap<ap_ir::UnitId, u64> = BTreeMap::new();
-    let mut full: BTreeSet<ap_ir::UnitId> = BTreeSet::new();
-    let mut input_only: BTreeSet<ap_ir::UnitId> = BTreeSet::new();
+    let mut recomputed = vec![false; units_len * slots];
+    for op in ops {
+        if let IrOp::Recompute { unit } = *op {
+            recomputed[index(unit)] = true;
+        }
+    }
+    // The weight version each live stash holds; `V(t)` is the number of
+    // versions some live stash holds.
+    let mut stash: Vec<Option<u64>> = vec![None; units_len * slots];
+    let mut versions = Holders {
+        count: vec![0; versions_len],
+        held: 0,
+    };
+    // Units whose full activations are live, and units holding only their
+    // input until a recompute.
+    let mut full = LiveSet::new(units_len * slots);
+    let mut input_only = LiveSet::new(units_len * slots);
     let mut peak_bytes = 0.0f64;
     let mut at_peak = (1usize, 0usize, 0.0f64); // versions, units, act bytes
     let mut sample = |versions: usize, units: usize, act: f64| {
@@ -150,38 +168,41 @@ pub fn walk_stage(
                 unit,
                 weight_version,
             } => {
-                live_versions.insert(unit, weight_version);
+                versions.release(stash[index(unit)].replace(weight_version));
+                versions.hold(weight_version);
             }
             IrOp::StashPop { unit } => {
-                live_versions.remove(&unit);
+                versions.release(stash[index(unit)].take());
             }
             IrOp::Forward { unit } => {
-                if model.recompute_discard && recomputed.contains(&unit) {
-                    input_only.insert(unit);
+                let u = index(unit);
+                if model.recompute_discard && recomputed[u] {
+                    input_only.set(u, true);
                 } else {
-                    full.insert(unit);
+                    full.set(u, true);
                 }
             }
             IrOp::Recompute { unit } => {
-                input_only.remove(&unit);
-                full.insert(unit);
+                let u = index(unit);
+                input_only.set(u, false);
+                full.set(u, true);
             }
             IrOp::Backward { unit } => {
-                full.remove(&unit);
-                input_only.remove(&unit);
+                let u = index(unit);
+                full.set(u, false);
+                input_only.set(u, false);
             }
             IrOp::FusedFwdLossBwd { unit } => {
                 // Forward + loss + backward atomically: the unit's
                 // activations exist only for the duration of this op.
-                live_versions.remove(&unit);
+                versions.release(stash[index(unit)].take());
                 transient = act_full;
             }
             IrOp::Recv { .. } | IrOp::Send { .. } | IrOp::ApplyUpdate { .. } => {}
         }
-        let distinct: BTreeSet<u64> = live_versions.values().copied().collect();
-        let act = full.len() as f64 * act_full + input_only.len() as f64 * act_input + transient;
-        let units = full.len() + input_only.len() + if transient > 0.0 { 1 } else { 0 };
-        sample(distinct.len(), units, act);
+        let act = full.len as f64 * act_full + input_only.len as f64 * act_input + transient;
+        let units = full.len + input_only.len + if transient > 0.0 { 1 } else { 0 };
+        sample(versions.held, units, act);
     }
     let (versions, units, act) = at_peak;
     StageFootprint {
@@ -193,6 +214,74 @@ pub fn walk_stage(
         activation_bytes: act,
         weight_versions: versions,
         peak_units: units,
+    }
+}
+
+/// How many live stashes hold each weight version, and how many versions
+/// at least one holds.
+struct Holders {
+    count: Vec<usize>,
+    held: usize,
+}
+
+impl Holders {
+    fn hold(&mut self, version: u64) {
+        let c = &mut self.count[version as usize];
+        *c += 1;
+        if *c == 1 {
+            self.held += 1;
+        }
+    }
+
+    fn release(&mut self, version: Option<u64>) {
+        if let Some(v) = version {
+            let c = &mut self.count[v as usize];
+            *c -= 1;
+            if *c == 0 {
+                self.held -= 1;
+            }
+        }
+    }
+}
+
+/// A set of units as one flag per unit index, with its size.
+struct LiveSet {
+    live: Vec<bool>,
+    len: usize,
+}
+
+impl LiveSet {
+    fn new(units: usize) -> Self {
+        LiveSet {
+            live: vec![false; units],
+            len: 0,
+        }
+    }
+
+    fn set(&mut self, unit: usize, live: bool) {
+        if self.live[unit] != live {
+            self.live[unit] = live;
+            if live {
+                self.len += 1;
+            } else {
+                self.len -= 1;
+            }
+        }
+    }
+}
+
+/// The unit an op works on (`None` for `ApplyUpdate`).
+fn op_unit(op: IrOp) -> Option<UnitId> {
+    match op {
+        IrOp::Recv { unit, .. }
+        | IrOp::Send { unit, .. }
+        | IrOp::StashPush { unit, .. }
+        | IrOp::StashPop { unit }
+        | IrOp::Forward { unit }
+        | IrOp::FusedFwdLossBwd { unit }
+        | IrOp::Recompute { unit }
+        | IrOp::Backward { unit } => Some(unit),
+        IrOp::ApplyUpdate { .. } => None,
     }
 }
 
@@ -211,36 +300,40 @@ pub fn footprint(
     kind: ScheduleKind,
     model: &MemoryModel,
 ) -> Vec<StageFootprint> {
+    stage_footprints(profile, partition, kind, model).collect()
+}
+
+/// [`footprint`]'s stages one at a time, in order: a caller that stops at
+/// the first stage over budget walks no further.
+pub(crate) fn stage_footprints<'a>(
+    profile: &'a ModelProfile,
+    partition: &'a Partition,
+    kind: ScheduleKind,
+    model: &'a MemoryModel,
+) -> impl Iterator<Item = StageFootprint> + 'a {
     let n_stages = partition.n_stages();
     let total = representative_total(n_stages, partition.in_flight);
-    let program = generate(kind, n_stages, total, partition.in_flight);
     let m = kind.micro_batches() as f64;
-    partition
-        .stages
-        .iter()
-        .enumerate()
-        .map(|(s, st)| {
-            let (lo, hi) = (st.layers.start, st.layers.end);
-            let weight_bytes = profile.range_params(lo, hi);
-            // The input a unit carries into the stage: the upstream cut's
-            // activation; for stage 0 the data batch, approximated by the
-            // first layer's output (profiles do not record input dims).
-            let input = if lo > 0 {
-                profile.out_bytes[lo - 1]
-            } else {
-                profile.out_bytes[0]
-            };
-            let acts: f64 = (lo..hi).map(|j| profile.out_bytes[j]).sum();
-            walk_stage(
-                &program,
-                s,
-                weight_bytes,
-                (input + acts) / m,
-                input / m,
-                model,
-            )
-        })
-        .collect()
+    partition.stages.iter().enumerate().map(move |(s, st)| {
+        let (lo, hi) = (st.layers.start, st.layers.end);
+        let weight_bytes = profile.range_params(lo, hi);
+        // The input a unit carries into the stage: the upstream cut's
+        // activation; for stage 0 the data batch, approximated by the
+        // first layer's output (profiles do not record input dims).
+        let input = if lo > 0 {
+            profile.out_bytes[lo - 1]
+        } else {
+            profile.out_bytes[0]
+        };
+        let acts: f64 = (lo..hi).map(|j| profile.out_bytes[j]).sum();
+        walk_stage(
+            &generate_stage(kind, n_stages, s, total, partition.in_flight),
+            weight_bytes,
+            (input + acts) / m,
+            input / m,
+            model,
+        )
+    })
 }
 
 #[cfg(test)]

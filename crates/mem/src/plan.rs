@@ -16,7 +16,7 @@ use ap_cluster::ClusterState;
 use ap_models::ModelProfile;
 use ap_pipesim::{Partition, ScheduleKind};
 
-use crate::footprint::{footprint, MemoryModel};
+use crate::footprint::{stage_footprints, MemoryModel};
 
 /// One stage's demand vs the tightest device it is placed on.
 #[derive(Debug, Clone)]
@@ -71,9 +71,20 @@ pub fn check(
     model: &MemoryModel,
     state: &ClusterState,
 ) -> MemCheck {
-    let foots = footprint(profile, partition, kind, model);
-    let stages = foots
-        .iter()
+    MemCheck {
+        stages: stage_checks(profile, partition, kind, model, state).collect(),
+    }
+}
+
+/// [`check`]'s stages one at a time, in order.
+fn stage_checks<'a>(
+    profile: &'a ModelProfile,
+    partition: &'a Partition,
+    kind: ScheduleKind,
+    model: &'a MemoryModel,
+    state: &'a ClusterState,
+) -> impl Iterator<Item = StageMemCheck> + 'a {
+    stage_footprints(profile, partition, kind, model)
         .zip(&partition.stages)
         .map(|(f, st)| {
             let capacity = st
@@ -87,25 +98,28 @@ pub fn check(
                 capacity: if capacity.is_finite() { capacity } else { 0.0 },
             }
         })
-        .collect();
-    MemCheck { stages }
 }
 
-/// The deepest `in_flight <= partition.in_flight` that fits, if any.
-/// Footprints are monotone in depth, so the first fit walking down is
-/// maximal.
+/// The deepest `in_flight <= partition.in_flight` that fits, if any, with
+/// the check that accepted it. Footprints are monotone in depth, so the
+/// first fit walking down is maximal. A depth is rejected at its first
+/// stage over budget; later stages are not walked.
 pub fn max_fit_in_flight(
     profile: &ModelProfile,
     partition: &Partition,
     kind: ScheduleKind,
     model: &MemoryModel,
     state: &ClusterState,
-) -> Option<usize> {
+) -> Option<(usize, MemCheck)> {
     let mut candidate = partition.clone();
     for n in (1..=partition.in_flight).rev() {
         candidate.in_flight = n;
-        if check(profile, &candidate, kind, model, state).fits() {
-            return Some(n);
+        let fitting: Option<Vec<StageMemCheck>> =
+            stage_checks(profile, &candidate, kind, model, state)
+                .map(|c| c.fits().then_some(c))
+                .collect();
+        if let Some(stages) = fitting {
+            return Some((n, MemCheck { stages }));
         }
     }
     None
@@ -121,7 +135,7 @@ pub fn clamp_in_flight(
     state: &ClusterState,
 ) -> bool {
     match max_fit_in_flight(profile, partition, kind, model, state) {
-        Some(n) => {
+        Some((n, _)) => {
             partition.in_flight = n;
             true
         }
@@ -156,14 +170,12 @@ pub fn fit_schedule(
     state: &ClusterState,
     score: &dyn Fn(ScheduleKind, usize) -> f64,
 ) -> Option<FitOutcome> {
-    let mut fitted = partition.clone();
-    if let Some(n) = max_fit_in_flight(profile, partition, requested, model, state) {
-        fitted.in_flight = n;
+    if let Some((n, check)) = max_fit_in_flight(profile, partition, requested, model, state) {
         return Some(FitOutcome {
             kind: requested,
             in_flight: n,
             switched: false,
-            check: check(profile, &fitted, requested, model, state),
+            check,
         });
     }
     let mut best: Option<(f64, FitOutcome)> = None;
@@ -171,10 +183,9 @@ pub fn fit_schedule(
         if kind == requested {
             continue;
         }
-        let Some(n) = max_fit_in_flight(profile, partition, kind, model, state) else {
+        let Some((n, check)) = max_fit_in_flight(profile, partition, kind, model, state) else {
             continue;
         };
-        fitted.in_flight = n;
         let s = score(kind, n);
         let better = match &best {
             Some((bs, _)) => s > *bs,
@@ -187,7 +198,7 @@ pub fn fit_schedule(
                     kind,
                     in_flight: n,
                     switched: true,
-                    check: check(profile, &fitted, kind, model, state),
+                    check,
                 },
             ));
         }
@@ -250,8 +261,9 @@ mod tests {
         let mut part = two_stage(p.n_layers(), 20);
         let st = state(GpuKind::P100);
         let m = MemoryModel::default();
-        let n = max_fit_in_flight(&p, &part, ScheduleKind::PipeDreamAsync, &m, &st)
+        let (n, at_n) = max_fit_in_flight(&p, &part, ScheduleKind::PipeDreamAsync, &m, &st)
             .expect("feasible at shallow depth");
+        assert!(at_n.fits());
         assert!(n < 20, "got {n}");
         assert!(clamp_in_flight(
             &p,

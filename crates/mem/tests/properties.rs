@@ -167,3 +167,149 @@ fn async_stash_grows_linearly_while_two_bw_stays_flat() {
         prev_async = a[0].stash_bytes;
     }
 }
+
+/// The walk ap-mem used before it kept a refcount per live weight
+/// version: after every op it collected the distinct versions of all live
+/// stashes into a fresh set. Kept as the oracle the library walk must
+/// match exactly.
+fn oracle_walk_stage(
+    program: &ap_ir::Program,
+    stage: usize,
+    weight_bytes: f64,
+    act_full: f64,
+    act_input: f64,
+    model: &MemoryModel,
+) -> (usize, usize, f64) {
+    use ap_ir::{IrOp, UnitId};
+    use std::collections::{BTreeMap, BTreeSet};
+    let ops = &program.stages[stage].ops;
+    let recomputed: BTreeSet<UnitId> = ops
+        .iter()
+        .filter_map(|op| match op {
+            IrOp::Recompute { unit } => Some(*unit),
+            _ => None,
+        })
+        .collect();
+    let mut live_versions: BTreeMap<UnitId, u64> = BTreeMap::new();
+    let mut full: BTreeSet<UnitId> = BTreeSet::new();
+    let mut input_only: BTreeSet<UnitId> = BTreeSet::new();
+    let mut peak_bytes = 0.0f64;
+    let mut at_peak = (1usize, 0usize, 0.0f64);
+    for op in ops {
+        let mut transient = 0.0;
+        match *op {
+            IrOp::StashPush {
+                unit,
+                weight_version,
+            } => {
+                live_versions.insert(unit, weight_version);
+            }
+            IrOp::StashPop { unit } => {
+                live_versions.remove(&unit);
+            }
+            IrOp::Forward { unit } => {
+                if model.recompute_discard && recomputed.contains(&unit) {
+                    input_only.insert(unit);
+                } else {
+                    full.insert(unit);
+                }
+            }
+            IrOp::Recompute { unit } => {
+                input_only.remove(&unit);
+                full.insert(unit);
+            }
+            IrOp::Backward { unit } => {
+                full.remove(&unit);
+                input_only.remove(&unit);
+            }
+            IrOp::FusedFwdLossBwd { unit } => {
+                live_versions.remove(&unit);
+                transient = act_full;
+            }
+            IrOp::Recv { .. } | IrOp::Send { .. } | IrOp::ApplyUpdate { .. } => {}
+        }
+        let distinct: BTreeSet<u64> = live_versions.values().copied().collect();
+        let act = full.len() as f64 * act_full + input_only.len() as f64 * act_input + transient;
+        let units = full.len() + input_only.len() + usize::from(transient > 0.0);
+        let v = distinct.len().max(1);
+        let bytes = (v - 1) as f64 * weight_bytes + act;
+        if bytes > peak_bytes {
+            peak_bytes = bytes;
+            at_peak = (v, units, act);
+        }
+    }
+    at_peak
+}
+
+/// The refcounted walk prices every stage exactly as the per-op set walk
+/// did: model zoo × schedule zoo × in-flight depths 1..=32, under both
+/// activation policies.
+#[test]
+fn refcounted_walk_matches_the_set_walk_oracle() {
+    use ap_models::{alexnet, bert_n, gpt2_medium, gpt2_small, resnet101, resnet152, resnet50};
+    let models = [
+        alexnet(),
+        vgg16(),
+        resnet50(),
+        resnet101(),
+        resnet152(),
+        bert_n(12),
+        bert_n(24),
+        bert48(),
+        gpt2_small(),
+        gpt2_medium(),
+    ];
+    let policies = [
+        MemoryModel::default(),
+        MemoryModel {
+            recompute_discard: false,
+            ..MemoryModel::default()
+        },
+    ];
+    for desc in &models {
+        let profile = ModelProfile::of(desc);
+        let l = profile.n_layers();
+        for kind in ScheduleKind::zoo() {
+            let m = kind.micro_batches() as f64;
+            for in_flight in 1..=32 {
+                let part = &partitions(l, in_flight)[2];
+                let n_stages = part.n_stages();
+                let total = (2 * (n_stages + in_flight)).max(4) as u64;
+                let program = ap_ir::generate(kind, n_stages, total, in_flight);
+                for (pi, policy) in policies.iter().enumerate() {
+                    let got = footprint(&profile, part, kind, policy);
+                    for (s, st) in part.stages.iter().enumerate() {
+                        let (lo, hi) = (st.layers.start, st.layers.end);
+                        let w = profile.range_params(lo, hi);
+                        let input = profile.out_bytes[lo.saturating_sub(1)];
+                        let acts: f64 = (lo..hi).map(|j| profile.out_bytes[j]).sum();
+                        let (v, units, act) = oracle_walk_stage(
+                            &program,
+                            s,
+                            w,
+                            (input + acts) / m,
+                            input / m,
+                            policy,
+                        );
+                        let f = &got[s];
+                        let cell = format!(
+                            "{} {} depth {in_flight} policy {pi} stage {s}",
+                            desc.name,
+                            kind.id()
+                        );
+                        assert_eq!(f.stage, s, "{cell}");
+                        assert_eq!(f.weight_versions, v, "{cell}");
+                        assert_eq!(f.peak_units, units, "{cell}");
+                        assert_eq!(f.activation_bytes.to_bits(), act.to_bits(), "{cell}");
+                        assert_eq!(
+                            f.stash_bytes.to_bits(),
+                            ((v - 1) as f64 * w).to_bits(),
+                            "{cell}"
+                        );
+                        assert_eq!(f.weight_bytes.to_bits(), w.to_bits(), "{cell}");
+                    }
+                }
+            }
+        }
+    }
+}

@@ -18,10 +18,10 @@
 //! fail-stop shedding and stranding, epochs for live switching (§4.4), and
 //! migration abort/rollback.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 use ap_cluster::{
-    max_min_fair_rates, ClusterState, EventKind, Flow, GpuId, LinkId, ResourceTimeline,
+    ClusterState, EventKind, FairShare, Flow, GpuId, LinkId, ResourceTimeline, ServerId,
 };
 use ap_ir::{IrOp, Payload};
 use ap_models::ModelProfile;
@@ -209,6 +209,9 @@ pub struct SimResult {
     pub mean_staleness: f64,
     /// Fault-path incidents handled during the run, in time order.
     pub faults: Vec<FaultRecord>,
+    /// Engine steps processed: one per event the run advanced through. A
+    /// deterministic measure of the run's work.
+    pub events: u64,
 }
 
 impl SimResult {
@@ -315,6 +318,64 @@ impl Default for EngineConfig {
 /// `Recv`: (stage, payload, wire unit id).
 type FrameKey = (usize, Payload, u64);
 
+/// Frames delivered and not yet received: one bit per destination stage,
+/// payload and wire id.
+#[derive(Debug, Default)]
+struct Arrived {
+    rows: Vec<Vec<u64>>,
+}
+
+impl Arrived {
+    /// Row, word and bit of a frame.
+    fn slot(&(stage, payload, wire): &FrameKey) -> (usize, usize, u64) {
+        let p = match payload {
+            Payload::Act => 0,
+            Payload::Grad => 1,
+            Payload::WeightState => 2,
+        };
+        (3 * stage + p, (wire / 64) as usize, 1 << (wire % 64))
+    }
+
+    fn contains(&self, k: &FrameKey) -> bool {
+        let (r, w, bit) = Self::slot(k);
+        self.rows
+            .get(r)
+            .and_then(|row| row.get(w))
+            .is_some_and(|word| word & bit != 0)
+    }
+
+    fn insert(&mut self, k: FrameKey) {
+        let (r, w, bit) = Self::slot(&k);
+        if r >= self.rows.len() {
+            self.rows.resize_with(r + 1, Vec::new);
+        }
+        let row = &mut self.rows[r];
+        if w >= row.len() {
+            row.resize(w + 1, 0);
+        }
+        row[w] |= bit;
+    }
+
+    fn remove(&mut self, k: &FrameKey) {
+        let (r, w, bit) = Self::slot(k);
+        if let Some(word) = self.rows.get_mut(r).and_then(|row| row.get_mut(w)) {
+            *word &= !bit;
+        }
+    }
+
+    /// Drop every frame of `unit`, at any stage: wire ids `unit * micro`
+    /// up to the next unit's.
+    fn remove_unit(&mut self, unit: u64, micro: u64) {
+        for row in &mut self.rows {
+            for wire in unit * micro..(unit + 1) * micro {
+                if let Some(word) = row.get_mut((wire / 64) as usize) {
+                    *word &= !(1 << (wire % 64));
+                }
+            }
+        }
+    }
+}
+
 /// Something that takes time: it drains `left` FLOPs, bytes or seconds
 /// at a rate re-evaluated at every event.
 #[derive(Debug)]
@@ -412,7 +473,12 @@ struct Epoch {
     bwd_flops: Vec<f64>,            // per stage, per unit
     cut_bytes: Vec<f64>,            // per boundary, per unit
     program: Vec<Vec<IrOp>>,
+    /// Per stage, per op: the live replica that runs it (its wire id
+    /// modulo the live replicas).
+    owners: Vec<Vec<u32>>,
     done: Vec<Vec<bool>>,
+    /// Units per mini-batch.
+    micro: u64,
     /// Per global worker: no pending op of its own precedes this index.
     cursor: Vec<usize>,
 }
@@ -463,7 +529,9 @@ impl Epoch {
             bwd_flops,
             cut_bytes,
             program: Vec::new(),
+            owners: Vec::new(),
             done: Vec::new(),
+            micro,
             cursor: vec![0; worker_index.len()],
         }
     }
@@ -480,6 +548,24 @@ impl Epoch {
             self.done.push(vec![false; st.ops.len()]);
             self.program.push(st.ops);
         }
+        self.owners = vec![Vec::new(); self.program.len()];
+        for s in 0..self.program.len() {
+            self.assign_owners(s);
+        }
+    }
+
+    /// Re-derive which live replica runs each op of stage `s` (after the
+    /// stage's replica set changed).
+    fn assign_owners(&mut self, s: usize) {
+        let reps = &self.stage_workers[s];
+        let owners = self.program[s]
+            .iter()
+            .map(|&op| reps[(self.wire(op) % reps.len() as u64) as usize] as u32);
+        self.owners[s] = if reps.is_empty() {
+            Vec::new()
+        } else {
+            owners.collect()
+        };
     }
 
     /// Unit id of program mini-batch `mb`.
@@ -491,9 +577,9 @@ impl Epoch {
     }
 
     /// Id the op's unit travels under: `unit * micro + micro index`.
-    fn wire(&self, op: IrOp, micro: u64) -> u64 {
+    fn wire(&self, op: IrOp) -> u64 {
         let (mb, k) = op_unit(op);
-        self.unit(mb) * micro + k as u64
+        self.unit(mb) * self.micro + k as u64
     }
 
     /// Per-unit bytes of a frame sent or received at stage `s`.
@@ -539,6 +625,11 @@ pub struct Engine<'a> {
     profile: &'a ModelProfile,
     cfg: EngineConfig,
     state: ClusterState,
+    /// Read off `state`, refreshed whenever it changes: per link
+    /// ([`LinkId::index`]) the capacity left for this job's flows, per
+    /// worker its compute rate.
+    link_caps: Vec<f64>,
+    compute_rates: Vec<f64>,
     resources: ResourceTimeline,
     res_cursor: f64,
     workers: Vec<GpuId>,
@@ -551,6 +642,14 @@ pub struct Engine<'a> {
 
     now: f64,
     activities: Vec<Activity>,
+    /// Drain rate of each activity at `now`, parallel to `activities`.
+    rates: Vec<f64>,
+    /// Max-min working memory, reused at every event.
+    fair: FairShare,
+    /// Activities that completed at the current event (a reused buffer).
+    finished: Vec<Activity>,
+    /// Units a replica's ready-op scan has passed over (a reused buffer).
+    blocked: Vec<(u64, u32)>,
     /// Per worker: the chain it is executing.
     running: Vec<Option<Chain>>,
     /// Per worker: chains of fused ops between their forward and
@@ -560,7 +659,7 @@ pub struct Engine<'a> {
     /// looked for a ready op.
     dirty: Vec<bool>,
     /// Frames delivered and not yet received.
-    arrived: HashSet<FrameKey>,
+    arrived: Arrived,
     /// Worker's previous gradient sync still in flight.
     sync_busy: Vec<bool>,
     /// The flush barrier in progress: (epoch, program mini-batch).
@@ -615,10 +714,12 @@ impl<'a> Engine<'a> {
         let n = workers.len();
         let versions = vec![0; partition.n_stages()];
         let epoch0 = Epoch::build(partition, profile, micro, &worker_index);
-        Ok(Engine {
+        let mut engine = Engine {
             profile,
             cfg,
             state,
+            link_caps: Vec::new(),
+            compute_rates: Vec::new(),
             resources,
             res_cursor: 0.0,
             workers,
@@ -628,10 +729,14 @@ impl<'a> Engine<'a> {
             target: 0,
             now: 0.0,
             activities: Vec::new(),
+            rates: Vec::new(),
+            fair: FairShare::default(),
+            finished: Vec::new(),
+            blocked: Vec::new(),
             running: (0..n).map(|_| None).collect(),
             parked: (0..n).map(|_| Vec::new()).collect(),
             dirty: vec![true; n],
-            arrived: HashSet::new(),
+            arrived: Arrived::default(),
             sync_busy: vec![false; n],
             flushing: None,
             ready_after: vec![0.0; n],
@@ -649,7 +754,26 @@ impl<'a> Engine<'a> {
             fault_log: Vec::new(),
             active_migration: None,
             fault_consult: false,
-        })
+        };
+        engine.observe_state();
+        Ok(engine)
+    }
+
+    /// Refresh what the engine reads off the cluster state at every event.
+    fn observe_state(&mut self) {
+        let comm_eff = self.cfg.framework.comm_efficiency;
+        let servers = (0..self.state.topology.servers.len()).map(ServerId);
+        let links = servers.flat_map(|s| [LinkId::Up(s), LinkId::Down(s)]);
+        debug_assert!(links.clone().enumerate().all(|(i, l)| l.index() == i));
+        self.link_caps = links
+            .map(|l| self.state.available_capacity(l) * comm_eff)
+            .collect();
+        let compute_eff = self.cfg.framework.compute_efficiency;
+        self.compute_rates = self
+            .workers
+            .iter()
+            .map(|&g| self.state.effective_flops(g) * compute_eff)
+            .collect();
     }
 
     fn current_epoch(&self) -> &Epoch {
@@ -660,10 +784,6 @@ impl<'a> Engine<'a> {
     /// replica (new work can flow end to end).
     fn current_epoch_feasible(&self) -> bool {
         !self.current_epoch().stage_workers.iter().any(Vec::is_empty)
-    }
-
-    fn compute_rate(&self, worker: usize) -> f64 {
-        self.state.effective_flops(self.workers[worker]) * self.cfg.framework.compute_efficiency
     }
 
     /// Fraction of its nominal rate each in-flight compute task gets
@@ -696,33 +816,31 @@ impl<'a> Engine<'a> {
         c.compute_slots as f64 / busy as f64
     }
 
-    /// Current drain rate of every activity: compute at the worker's
-    /// (shared) rate, transfers at max-min fair share, timers at 1.
-    fn rates(&self) -> Vec<f64> {
-        let flows: Vec<Flow> = self
-            .activities
-            .iter()
-            .filter_map(|a| match &a.work {
-                Work::Transfer { flow, .. } => Some(flow.clone()),
-                _ => None,
-            })
-            .collect();
-        let comm_eff = self.cfg.framework.comm_efficiency;
-        let mut fair = max_min_fair_rates(
-            &flows,
-            |l| self.state.available_capacity(l) * comm_eff,
-            self.state.topology.local_bytes_per_sec,
-        )
-        .into_iter();
+    /// Set `rates` to the current drain rate of every activity: compute
+    /// at the worker's (shared) rate, transfers at max-min fair share,
+    /// timers at 1.
+    fn update_rates(&mut self) {
         let share = self.compute_share();
-        self.activities
-            .iter()
-            .map(|a| match a.work {
-                Work::Compute { worker, .. } => self.compute_rate(worker) * share,
-                Work::Transfer { .. } => fair.next().expect("one rate per flow"),
+        let flows = self.activities.iter().filter_map(|a| match &a.work {
+            Work::Transfer { flow, .. } => Some(flow),
+            _ => None,
+        });
+        let caps = &self.link_caps;
+        let mut fair = self
+            .fair
+            .rates(
+                flows,
+                |l| caps[l.index()],
+                self.state.topology.local_bytes_per_sec,
+            )
+            .iter();
+        self.rates.clear();
+        self.rates
+            .extend(self.activities.iter().map(|a| match a.work {
+                Work::Compute { worker, .. } => self.compute_rates[worker] * share,
+                Work::Transfer { .. } => *fair.next().expect("one rate per flow"),
                 Work::Flush | Work::Timer => 1.0,
-            })
-            .collect()
+            }));
     }
 
     /// Launch a flow of `bytes` over `links`: a frame for `worker`, or
@@ -781,7 +899,7 @@ impl<'a> Engine<'a> {
     /// stage that it owns (`unit % live replicas`; a flush barrier
     /// belongs to every replica) and has not run — advancing its cursor.
     fn seek(&mut self, e: usize, w: usize) -> Option<usize> {
-        let (micro, flush) = (self.micro, !self.cfg.schedule.is_async());
+        let flush = !self.cfg.schedule.is_async();
         let ep = &mut self.epochs[e];
         let s = ep.stage_of[w]?;
         let reps = &ep.stage_workers[s];
@@ -791,9 +909,8 @@ impl<'a> Engine<'a> {
         let ops = &ep.program[s];
         let mut i = ep.cursor[w];
         while i < ops.len() {
-            let owner = reps[(ep.wire(ops[i], micro) % reps.len() as u64) as usize];
             let barrier = flush && matches!(ops[i], IrOp::ApplyUpdate { .. });
-            if !ep.done[s][i] && (barrier || owner == w) {
+            if !ep.done[s][i] && (barrier || ep.owners[s][i] as usize == w) {
                 break;
             }
             i += 1;
@@ -828,35 +945,16 @@ impl<'a> Engine<'a> {
         let Some(first) = self.seek(e, w) else {
             return false;
         };
-        let ep = &self.epochs[e];
-        let s = ep.stage_of[w].expect("seek found the stage");
-        let reps = &ep.stage_workers[s];
-        let mut chain = self.chain_at(w, e, s, first);
-        // A replica's ready ops lie among its in-flight units: the oldest
-        // pending backwards interleaved with the forwards ahead of them.
-        let window = 2 * ep.partition.in_flight.div_ceil(reps.len()) + 2;
-        let mut blocked = vec![op_unit(ep.program[s][first])];
-        let flush = !self.cfg.schedule.is_async();
-        let near = s.saturating_sub(1)..(s + 2).min(ep.stage_workers.len());
-        let strict = ep.stage_workers[near].iter().all(|r| r.len() == 1);
-        for (i, &op) in ep.program[s].iter().enumerate().skip(first) {
-            // A flush barrier orders everything after it.
-            let barrier = flush && matches!(op, IrOp::ApplyUpdate { .. }) && !ep.done[s][i];
-            if chain.is_some() || strict || barrier || blocked.len() > window {
-                break;
-            }
-            let unit = op_unit(op);
-            let owner = reps[(ep.wire(op, self.micro) % reps.len() as u64) as usize];
-            if ep.done[s][i] || owner != w || blocked.contains(&unit) {
-                continue;
-            }
-            chain = self.chain_at(w, e, s, i);
-            blocked.push(unit);
-        }
+        let s = self.epochs[e].stage_of[w].expect("seek found the stage");
+        let mut blocked = std::mem::take(&mut self.blocked);
+        let chain = self
+            .chain_at(w, e, s, first)
+            .or_else(|| self.scan_ready(&mut blocked, w, e, s, first));
+        self.blocked = blocked;
         let Some(chain) = chain else {
             return false;
         };
-        let (s, unit) = (chain.stage, chain.unit);
+        let unit = chain.unit;
         for i in chain.ops.clone() {
             self.epochs[e].done[s][i] = true;
         }
@@ -872,20 +970,91 @@ impl<'a> Engine<'a> {
         true
     }
 
+    /// The chain a replicated stage's worker `w` runs when its first
+    /// pending op (`first`) cannot start: the earliest ready op among its
+    /// in-flight units — the oldest pending backwards interleaved with
+    /// the forwards ahead of them. Each unit is judged by its first
+    /// pending op (a unit's own ops stay in order), the scan stops at a
+    /// flush barrier, and it gives up once more than a window of units is
+    /// seen blocked. `None` where the stage runs strictly in order.
+    fn scan_ready(
+        &self,
+        blocked: &mut Vec<(u64, u32)>,
+        w: usize,
+        e: usize,
+        s: usize,
+        first: usize,
+    ) -> Option<Chain> {
+        let ep = &self.epochs[e];
+        let near = s.saturating_sub(1)..(s + 2).min(ep.stage_workers.len());
+        if ep.stage_workers[near].iter().all(|r| r.len() == 1) {
+            return None;
+        }
+        let reps = &ep.stage_workers[s];
+        let window = 2 * ep.partition.in_flight.div_ceil(reps.len()) + 2;
+        let flush = !self.cfg.schedule.is_async();
+        let (ops, owners, done) = (&ep.program[s], &ep.owners[s], &ep.done[s]);
+        blocked.clear();
+        blocked.push(op_unit(ops[first]));
+        for i in first..ops.len() {
+            if done[i] {
+                continue;
+            }
+            // A flush barrier orders everything after it.
+            let barrier = flush && matches!(ops[i], IrOp::ApplyUpdate { .. });
+            if barrier || blocked.len() > window {
+                return None;
+            }
+            let unit = op_unit(ops[i]);
+            if owners[i] as usize != w || blocked.contains(&unit) {
+                continue;
+            }
+            if let Some(chain) = self.chain_at(w, e, s, i) {
+                return Some(chain);
+            }
+            blocked.push(unit);
+        }
+        None
+    }
+
+    /// `false` when op `i` of stage `s` certainly cannot start a chain for
+    /// worker `w` now: it already ran, its unit is not yet admitted, or it
+    /// is a `Recv` whose frame has not arrived, a flush barrier, or an
+    /// asynchronous `ApplyUpdate` behind `w`'s previous gradient sync.
+    /// [`Engine::chain_at`] asks it first, so the ops a ready-op scan
+    /// passes over cost a few comparisons, not a chain built and dropped.
+    fn may_start(&self, ep: &Epoch, w: usize, s: usize, i: usize) -> bool {
+        let is_async = self.cfg.schedule.is_async();
+        let op = ep.program[s][i];
+        let mb = op_unit(op).0;
+        // Admission: a fresh unit enters stage 0 only below the counter.
+        if is_async && s == 0 && mb >= ep.carried.len() as u64 && ep.unit(mb) >= self.admitted {
+            return false;
+        }
+        !ep.done[s][i]
+            && match op {
+                IrOp::Recv { payload, .. } => {
+                    payload == Payload::WeightState
+                        || self.arrived.contains(&(s, payload, ep.wire(op)))
+                }
+                IrOp::ApplyUpdate { .. } => is_async && !self.sync_busy[w],
+                _ => true,
+            }
+    }
+
     /// Worker `w`'s chain starting at op `first` of stage `s` in epoch
     /// `e`, or `None` while its inputs are not ready. The backward piece
     /// of a chain holding an asynchronous `ApplyUpdate` waits for `w`'s
     /// previous gradient sync to land.
     fn chain_at(&self, w: usize, e: usize, s: usize, first: usize) -> Option<Chain> {
-        let is_async = self.cfg.schedule.is_async();
         let ep = &self.epochs[e];
+        if !self.may_start(ep, w, s, first) {
+            return None;
+        }
+        let is_async = self.cfg.schedule.is_async();
         let ops = &ep.program[s];
         let head = op_unit(ops[first]);
         let unit = ep.unit(head.0);
-        // Admission: a fresh unit enters stage 0 only below the counter.
-        if is_async && s == 0 && head.0 >= ep.carried.len() as u64 && unit >= self.admitted {
-            return None;
-        }
         let cal = self.cfg.calibration;
         let codec = |b: f64| cal.map_or(0.0, |c| c.codec_op_s(b));
         let half = cal.map_or(0.0, |c| c.stage_overhead_s / 2.0 / self.micro as f64);
@@ -897,7 +1066,7 @@ impl<'a> Engine<'a> {
             epoch: e,
             stage: s,
             unit,
-            wire: ep.wire(ops[first], self.micro),
+            wire: ep.wire(ops[first]),
             ops: first..first,
             consumed: None,
             pieces: [None; 2],
@@ -916,7 +1085,7 @@ impl<'a> Engine<'a> {
             }
             match op {
                 IrOp::Recv { payload, .. } => {
-                    let key = (s, payload, ep.wire(op, self.micro));
+                    let key = (s, payload, ep.wire(op));
                     if payload != Payload::WeightState {
                         if !self.arrived.contains(&key) {
                             break;
@@ -975,7 +1144,7 @@ impl<'a> Engine<'a> {
         let chain = self.running[w].as_ref().expect("a running chain");
         let p = chain.pieces[chain.piece].expect("a piece to run");
         self.activities.push(Activity {
-            left: p.flops + p.seconds * self.compute_rate(w),
+            left: p.flops + p.seconds * self.compute_rates[w],
             work: Work::Compute {
                 worker: w,
                 started: self.now,
@@ -986,9 +1155,13 @@ impl<'a> Engine<'a> {
     /// Give idle workers their next ready chain, oldest epoch first.
     fn dispatch(&mut self) {
         for w in 0..self.workers.len() {
+            // A worker that has nothing new to look at keeps waiting.
+            if !self.dirty[w] {
+                continue;
+            }
             let idle = !self.dead[w] && self.running[w].is_none();
             let thawed = self.now >= self.ready_after[w] - 1e-9;
-            if idle && thawed && std::mem::take(&mut self.dirty[w]) {
+            if idle && thawed {
                 self.dirty[w] = (0..self.epochs.len()).any(|e| self.try_chain(w, e));
             }
         }
@@ -1012,14 +1185,16 @@ impl<'a> Engine<'a> {
             return;
         }
         let mut at = None;
-        for w in live.concat() {
-            let Some(i) = self.seek(e, w) else {
-                return;
-            };
-            let ep = &self.epochs[e];
-            match ep.program[ep.stage_of[w].expect("live worker")][i] {
-                IrOp::ApplyUpdate { mb, .. } if at.is_none_or(|v| v == mb) => at = Some(mb),
-                _ => return,
+        for s in 0..live.len() {
+            for k in 0..self.epochs[e].stage_workers[s].len() {
+                let w = self.epochs[e].stage_workers[s][k];
+                let Some(i) = self.seek(e, w) else {
+                    return;
+                };
+                match self.epochs[e].program[s][i] {
+                    IrOp::ApplyUpdate { mb, .. } if at.is_none_or(|v| v == mb) => at = Some(mb),
+                    _ => return,
+                }
             }
         }
         let mb = at.expect("a feasible epoch has workers");
@@ -1115,7 +1290,7 @@ impl<'a> Engine<'a> {
                 IrOp::Send { payload: p, .. } if p != Payload::WeightState => {
                     let ep = &self.epochs[e];
                     let to = if p == Payload::Act { s + 1 } else { s - 1 };
-                    let (wire, bytes) = (ep.wire(op, self.micro), ep.frame_bytes(s, p, true));
+                    let (wire, bytes) = (ep.wire(op), ep.frame_bytes(s, p, true));
                     let reps = &ep.stage_workers[to];
                     if reps.is_empty() {
                         // The stage has no surviving replica: the unit is
@@ -1193,7 +1368,7 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        Ok(self.finish())
+        Ok(self.finish(steps as u64))
     }
 
     /// Apply a new partition live.
@@ -1289,7 +1464,7 @@ impl<'a> Engine<'a> {
         self.epochs[e].cancel(|u| u == unit);
         let micro = self.micro;
         let mine = |c: &Chain| c.epoch == e && c.unit == unit;
-        self.arrived.retain(|k| k.2 / micro != unit);
+        self.arrived.remove_unit(unit, micro);
         let running = &self.running;
         self.activities.retain(|a| match &a.work {
             Work::Transfer { frame: Some(k), .. } => k.2 / micro != unit,
@@ -1352,13 +1527,16 @@ impl<'a> Engine<'a> {
             for i in chain.ops.clone() {
                 self.epochs[chain.epoch].done[chain.stage][i] = false;
             }
-            self.arrived.extend(chain.consumed);
+            if let Some(k) = chain.consumed {
+                self.arrived.insert(k);
+            }
         }
         // Shed the worker; its stage's survivors rescan for the ops they
         // now own.
         for ep in &mut self.epochs {
             if let Some(s) = ep.stage_of[w] {
                 ep.stage_workers[s].retain(|&r| r != w);
+                ep.assign_owners(s);
                 ep.cursor.fill(0);
             }
         }
@@ -1452,7 +1630,8 @@ impl<'a> Engine<'a> {
         if self.activities.is_empty() {
             // Nothing runnable: only resource events can advance time.
             if let Some(t) = self.resources.next_event_after(self.res_cursor) {
-                self.advance_to(t, &[]);
+                self.rates.clear();
+                self.advance_to(t);
                 return Ok(());
             }
             // Distinguish "a stage has no survivors" (worker loss nobody
@@ -1476,11 +1655,11 @@ impl<'a> Engine<'a> {
             );
         }
         // Earliest completion among activities at current rates.
-        let rates = self.rates();
+        self.update_rates();
         let t_done = self
             .activities
             .iter()
-            .zip(&rates)
+            .zip(&self.rates)
             .map(|(a, r)| a.left / r.max(a.work.floor_and_slack().0))
             .fold(f64::INFINITY, f64::min);
         let mut t_complete = self.now + t_done.max(0.0);
@@ -1496,11 +1675,11 @@ impl<'a> Engine<'a> {
             Some(te) if te < t_complete => te,
             _ => t_complete,
         };
-        self.advance_to(t_next, &rates);
+        self.advance_to(t_next);
         Ok(())
     }
 
-    fn finish(&mut self) -> SimResult {
+    fn finish(&mut self, events: u64) -> SimResult {
         SimResult {
             iterations: std::mem::take(&mut self.iterations),
             batch: self.profile.batch,
@@ -1513,18 +1692,19 @@ impl<'a> Engine<'a> {
                 0.0
             },
             faults: std::mem::take(&mut self.fault_log),
+            events,
         }
     }
 
     /// Move time forward to `t`, draining activities at `rates` (one per
-    /// activity, as [`Engine::rates`] gave them at `now`) and applying any
-    /// resource events at exactly `t`.
-    fn advance_to(&mut self, t: f64, rates: &[f64]) {
+    /// activity, as [`Engine::update_rates`] set them at `now`) and
+    /// applying any resource events at exactly `t`.
+    fn advance_to(&mut self, t: f64) {
         let dt = t - self.now;
         debug_assert!(dt >= -1e-9, "time went backwards");
         // The busy set only changes at event boundaries, so the rates are
         // exact for the whole [now, t] interval.
-        for (a, r) in self.activities.iter_mut().zip(rates) {
+        for (a, r) in self.activities.iter_mut().zip(&self.rates) {
             a.left -= r * dt;
         }
         self.now = t;
@@ -1538,6 +1718,7 @@ impl<'a> Engine<'a> {
             .collect();
         for k in &events {
             self.state.apply(k);
+            self.observe_state();
             match k {
                 EventKind::WorkerFail(g) => self.fail_worker(*g),
                 EventKind::WorkerRecover(g) => self.recover_worker(*g),
@@ -1553,11 +1734,12 @@ impl<'a> Engine<'a> {
             }
         }
 
-        let done: Vec<Activity> = self
-            .activities
-            .extract_if(.., |a| a.left <= a.work.floor_and_slack().1)
-            .collect();
-        for a in done {
+        let mut done = std::mem::take(&mut self.finished);
+        done.extend(
+            self.activities
+                .extract_if(.., |a| a.left <= a.work.floor_and_slack().1),
+        );
+        for a in done.drain(..) {
             match a.work {
                 Work::Compute { worker, started } => self.on_compute_done(worker, started),
                 Work::Transfer {
@@ -1578,6 +1760,7 @@ impl<'a> Engine<'a> {
                 Work::Flush => self.on_flush_done(),
             }
         }
+        self.finished = done;
     }
 }
 

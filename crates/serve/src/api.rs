@@ -365,7 +365,11 @@ impl ClusterSpec {
 pub struct PlannerConfig {
     /// Greedy refinement rounds.
     pub refine_rounds: usize,
-    /// Engine iterations per measurement.
+    /// Floor on the mini-batches each engine verification runs. A run
+    /// covers `max(measure_iters, 3 * in_flight, 12)` mini-batches and
+    /// measures steady throughput over the last two thirds of them, so
+    /// any value up to 12 (the default 10 included) leaves every run
+    /// unchanged.
     pub measure_iters: usize,
     /// Fitted runtime overheads (see `ap_pipesim::Calibration`); when
     /// present the plan is scored and verified against the calibrated
@@ -564,6 +568,9 @@ fn experiment_env() -> (SyncScheme, Framework) {
     (SyncScheme::RingAllReduce, Framework::pytorch())
 }
 
+/// Steady throughput of `partition` on the event engine: a run of
+/// `max(iterations, 3 * in_flight, 12)` mini-batches, measured past its
+/// first third (pipeline fill).
 fn engine_throughput(
     profile: &ModelProfile,
     partition: &Partition,
